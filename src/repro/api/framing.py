@@ -892,6 +892,21 @@ class StreamingMerger:
             self._acc_dict = merge_many([acc, counters], self._k)
         return self
 
+    def compact(self) -> "StreamingMerger":
+        """Drop the dense accumulator for its ``<= k`` (keys, values) pair.
+
+        The dense fold's accumulator spans the whole key range the frames
+        touched, not ``k``; a merger that will fold no more frames (a
+        committed session) keeps only :meth:`merged_arrays` — the pairwise
+        representation, from which :meth:`merged`, :meth:`merged_arrays`,
+        :meth:`release`, :meth:`absorb` and :func:`summary_payload` read
+        exactly what they read before.  Dict-mode and already-pairwise
+        mergers are left as they are.
+        """
+        self._dense_to_pairwise()
+        self._zero_live = None
+        return self
+
     # ------------------------------------------------------------------
     # Results
     # ------------------------------------------------------------------
@@ -1017,14 +1032,23 @@ def summary_payload(merger: StreamingMerger) -> Dict[str, object]:
     """
     if merger.frames == 0:
         raise ParameterError("merger folded no frames; nothing to summarize")
-    envelope = wire_module.encode_counters(
-        merger.merged(), k=merger._k,
-        stream_length=merger.total_stream_length)
+    if merger.columnar:
+        # int64 keys are plain ints by construction: skip the dict and the
+        # per-key encoding check, same envelope.
+        keys, values = merger.merged_arrays()
+        envelope = wire_module.encode_counters(
+            {}, k=merger._k, stream_length=merger.total_stream_length)
+        envelope.update(keys=keys.tolist(), values=values.tolist())
+    else:
+        envelope = wire_module.encode_counters(
+            merger.merged(), k=merger._k,
+            stream_length=merger.total_stream_length)
     envelope["meta"][RELAY_META_KEY] = {"frames": merger.frames}
     return envelope
 
 
-def combine_mergers(parts: Sequence[StreamingMerger], k: int) -> StreamingMerger:
+def combine_mergers(parts: Sequence[StreamingMerger], k: int,
+                    base: Optional[StreamingMerger] = None) -> StreamingMerger:
     """Combine per-source mergers into one summary, in the given order.
 
     A single non-empty source passes through untouched — the two-level fold
@@ -1033,14 +1057,21 @@ def combine_mergers(parts: Sequence[StreamingMerger], k: int) -> StreamingMerger
     exactly the historical flat-fold result.  Multiple sources are absorbed
     in sequence order (the caller supplies the canonical ordering, e.g. CLI
     argument order or client ordinals).
+
+    ``base`` continues an earlier combine: the parts are absorbed into it
+    (in place) and it is returned, so ``combine_mergers(b, k,
+    base=combine_mergers(a, k, base=StreamingMerger(k)))`` is bit-identical
+    to ``combine_mergers(a + b, k)``.  A base never passes a part through,
+    so it never aliases a source's merger.
     """
     live = [part for part in parts if part.frames]
-    if len(live) == 1:
-        return live[0]
-    combined = StreamingMerger(k)
+    if base is None:
+        if len(live) == 1:
+            return live[0]
+        base = StreamingMerger(k)
     for part in live:
-        combined.absorb(part)
-    return combined
+        base.absorb(part)
+    return base
 
 
 def merge_frames(source, k: Optional[int] = None) -> StreamingMerger:

@@ -20,6 +20,7 @@ This module provides:
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Dict, Hashable, Mapping, Optional, Tuple
@@ -81,6 +82,29 @@ def gshm_delta(sigma: float, tau: float, epsilon: float, l: int) -> float:
     return max(branch1, branch2, branch3, 0.0)
 
 
+#: Distinct calibrations :func:`calibrate_gshm` remembers.  A server
+#: releases at one (epsilon, delta, k) for its whole life, so a handful of
+#: entries covers every caller; the bound only keeps sweeps from growing it.
+CALIBRATION_CACHE_SIZE = 256
+
+
+def _memoized(function):
+    """``lru_cache`` keyed on argument values and types; exceptions are not
+    cached and unhashable arguments bypass the cache."""
+    memo = functools.lru_cache(maxsize=CALIBRATION_CACHE_SIZE, typed=True)(function)
+
+    @functools.wraps(function)
+    def wrapper(*args, **kwargs):
+        try:
+            hash((args, tuple(kwargs.items())))
+        except TypeError:
+            return function(*args, **kwargs)
+        return memo(*args, **kwargs)
+
+    return wrapper
+
+
+@_memoized
 def calibrate_gshm(epsilon: float, delta: float, l: int,
                    method: str = "exact",
                    tolerance: float = 1e-4) -> Tuple[float, float]:
@@ -91,6 +115,15 @@ def calibrate_gshm(epsilon: float, delta: float, l: int,
     ``tau = sqrt(2 ln(2 l/delta)) sigma``.  ``method="exact"`` keeps the loose
     ratio ``tau/sigma`` but shrinks sigma by bisection against the exact
     Theorem 23 predicate, which is noticeably tighter (experiment E9).
+
+    The result is a pure function of the arguments, so it is memoized: the
+    k=1024 bisection costs tens of milliseconds and every RELEASE of the
+    aggregation service asks for the same pair.  The cache is keyed on
+    every argument *and its type*, so ``1`` and ``1.0`` are separate
+    entries and an argument the validators reject (say ``l=2.0``) is never
+    answered from the entry of one they accept.  Exceptions are not cached,
+    unhashable arguments bypass the cache, and ``calibrate_gshm.__wrapped__``
+    is the uncached computation.
     """
     eps = check_epsilon(epsilon)
     d = check_delta(delta)

@@ -12,6 +12,9 @@ Determinism: committed sessions are combined with
 order, exactly the fold ``repro merge --framed file-per-client`` performs —
 so a release triggered over the network is **bit-identical** (keys, values,
 dict order) to the offline CLI over the same exports with the same seed.
+The server keeps that left fold over the sessions released so far and a
+release absorbs only the sessions committed since; a commit that sorts
+before an already-absorbed one makes the next release refold from scratch.
 
 Fault containment: a session that violates the protocol (bad magic, k
 mismatch, truncated frame, payload outside a push burst) is answered with an
@@ -174,6 +177,7 @@ class AggregatorServer:
         self._max_releases = max_releases
         self.metrics = as_registry(metrics)
         self.tracer = Tracer(self.metrics, stream=log_json)
+        self.metrics.counter("server.release_refolds_total")
         self._wal = (SessionWal(wal_dir, store=store, metrics=self.metrics)
                      if wal_dir is not None else None)
         self._read_timeout = read_timeout
@@ -200,6 +204,13 @@ class AggregatorServer:
         self._tasks: set = set()
         self._committed: List[CommittedSession] = []
         self._commit_seq = 0
+        self._parts_total = 0
+        # Release state: the combine of the first ``_folded`` entries of
+        # ``_committed`` (commit order) in canonical order, and the sort key
+        # of the last one it absorbed.  Built by the first RELEASE.
+        self._combined: Optional[StreamingMerger] = None
+        self._folded = 0
+        self._last_key = None
         self._frames_seen = 0
         self._length_seen = 0
         self._releases = 0
@@ -275,6 +286,7 @@ class AggregatorServer:
                     f"server was started with -k {self._k}")
         for entry in recovery.committed:
             self._committed.append(entry)
+            self._parts_total += len(entry.mergers)
             self._frames_seen += entry.frames
             self._length_seen += entry.stream_length
         self._commit_seq = max(self._commit_seq, recovery.max_seq)
@@ -413,8 +425,9 @@ class AggregatorServer:
         entry = CommittedSession(
             seq=self._commit_seq, ordinal=session.ordinal,
             client=session.client,
-            merger=merger if not parts else None, parts=parts)
+            merger=merger if not parts else None, parts=parts).compact()
         self._committed.append(entry)
+        self._parts_total += len(entry.mergers)
         self.metrics.inc("server.commits_total")
         self.note_committed(entry)
 
@@ -455,9 +468,8 @@ class AggregatorServer:
         server's.
         """
         with self.tracer.span("release") as span:
-            parts = self.committed_mergers()
-            span["parts"] = len(parts)
-            if not parts or self._k is None:
+            span["parts"] = self._parts_total
+            if not self._committed or self._k is None:
                 raise RemoteError("no committed sketch exports to release yet",
                                   code="nothing_to_release")
             if self.delta == 0.0:
@@ -467,7 +479,7 @@ class AggregatorServer:
                     "offline with a pure-DP mechanism instead",
                     code="pure_dp_release_unsupported")
             self.accountant.charge()
-            combined = combine_mergers(parts, self._k)
+            combined = self._combine_committed(span)
             mechanism = PrivateMergedRelease(
                 epsilon=self.epsilon, delta=self.delta, k=self._k,
                 strategy=MergeStrategy.TRUSTED_MERGED)
@@ -475,6 +487,39 @@ class AggregatorServer:
             self._releases += 1
             self.metrics.inc("server.releases_total")
             return encode_histogram(histogram)
+
+    def _combine_committed(self, span: Dict) -> StreamingMerger:
+        """The combine of every committed part, continuing the cached fold.
+
+        Sessions committed since the last release are absorbed in canonical
+        order after the cached prefix when they all sort after its last
+        session — bit-identical to ``combine_mergers(committed_mergers())``
+        because that is the same left fold.  Otherwise (an out-of-order
+        ordinal, or an ordinal session after an anonymous one) the fold
+        restarts from an empty merger over every session: ``refold``.  The
+        cache is a merger of its own, never a session's, so absorbing into
+        it cannot change a session a later refold reads.
+        """
+        pending = sorted(self._committed[self._folded:],
+                         key=lambda entry: entry.sort_key)
+        refold = bool(pending) and self._last_key is not None \
+            and pending[0].sort_key < self._last_key
+        if refold:
+            pending = sorted(self._committed, key=lambda entry: entry.sort_key)
+            self.metrics.inc("server.release_refolds_total")
+        base = (StreamingMerger(self._k) if refold or self._combined is None
+                else self._combined)
+        parts = [part for entry in pending for part in entry.mergers]
+        span["absorbed"] = len(parts)
+        span["refold"] = refold
+        last_key = pending[-1].sort_key if pending else self._last_key
+        # A combine that raises leaves the cache empty: the next release
+        # folds from scratch instead of continuing a half-absorbed state.
+        self._combined, self._folded, self._last_key = None, 0, None
+        combined = combine_mergers(parts, self._k, base=base)
+        self._combined, self._folded, self._last_key = \
+            combined, len(self._committed), last_key
+        return combined
 
     async def handle_release(self, seed: Optional[int]) -> Dict:
         """Serve one RELEASE verb.  A relay overrides this to flush its

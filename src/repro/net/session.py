@@ -23,7 +23,8 @@ durable (spool fsync + checkpoint record) *before* the PUSH ack, and a
 re-HELLO with the same ordinal resumes the spooled session: the ack reports
 the committed frame count so the client skips already-durable frames.  Every
 read is additionally bounded by the server's per-read timeout, so a peer
-dribbling bytes (slow-loris) is rejected instead of pinning a session open.
+dribbling bytes (slow-loris) is rejected instead of pinning a session open
+(one deadline timer per session, pushed forward at each read).
 
 Multi-tenant hardening: when the server carries an ``auth_token``, the HELLO
 must present a matching ``token`` field (checked in constant time, *before*
@@ -96,6 +97,13 @@ class CommittedSession:
         """Origin sketch exports covered (relay parts carry origin counts)."""
         return sum(merger.frames for merger in self.mergers)
 
+    def compact(self) -> "CommittedSession":
+        """Shrink every part to its ``<= k`` summary (no more frames fold
+        into a committed session; see :meth:`StreamingMerger.compact`)."""
+        for merger in self.mergers:
+            merger.compact()
+        return self
+
     @property
     def stream_length(self) -> int:
         return sum(merger.total_stream_length for merger in self.mergers)
@@ -123,6 +131,14 @@ class Session:
         self._quota_frames = 0
         self._quota_bytes = 0
         self._quota_sketches = 0
+        # Read deadline (slow-loris guard): one timer per session, armed by
+        # the first read.  A read only moves ``_deadline`` forward; the timer
+        # re-schedules itself when it fires before the current deadline.
+        self._reading: Optional[str] = None
+        self._deadline = 0.0
+        self._timer: Optional[asyncio.TimerHandle] = None
+        self._task: Optional[asyncio.Task] = None
+        self._timed_out = False
 
     @property
     def frames(self) -> int:
@@ -136,18 +152,48 @@ class Session:
     # ------------------------------------------------------------------
 
     async def _timed(self, awaitable, what: str):
-        """Bound one read by the server's per-read timeout (slow-loris guard)."""
+        """Bound one read by the server's per-read timeout (slow-loris guard).
+
+        The bound is the session's deadline timer, not a ``wait_for`` per
+        read: arming costs one attribute store, and a read still running
+        when the timer sees its deadline pass is cancelled and reported as
+        a ``timeout`` rejection.
+        """
         timeout = self._server.read_timeout
         if timeout is None:
             return await awaitable
+        loop = asyncio.get_running_loop()
+        self._deadline = loop.time() + timeout
+        if self._timer is None:
+            self._task = asyncio.current_task()
+            self._timer = loop.call_at(self._deadline, self._on_deadline, loop)
+        self._reading = what
         try:
-            return await asyncio.wait_for(awaitable, timeout)
-        except asyncio.TimeoutError:
+            return await awaitable
+        except asyncio.CancelledError:
+            if not self._timed_out:
+                raise
+            self._timed_out = False
+            uncancel = getattr(self._task, "uncancel", None)  # Python >= 3.11
+            if uncancel is not None:
+                uncancel()
             error = ProtocolError(
                 f"no complete {what} within {timeout:g}s; peer is stalling "
                 "(slow-loris?) and the session is rejected")
             error.code = "timeout"
             raise error from None
+        finally:
+            self._reading = None
+
+    def _on_deadline(self, loop: asyncio.AbstractEventLoop) -> None:
+        self._timer = None
+        if self._reading is None:
+            return  # between reads: the next read re-arms the timer
+        if loop.time() < self._deadline:
+            self._timer = loop.call_at(self._deadline, self._on_deadline, loop)
+            return
+        self._timed_out = True
+        self._task.cancel()
 
     async def run(self) -> None:
         """Drive the connection to completion; never raises into the server."""
@@ -184,6 +230,8 @@ class Session:
             self.state = SessionState.REJECTED
             self._server.note_rejected(self, f"connection lost: {error}")
         finally:
+            if self._timer is not None:
+                self._timer.cancel()
             if self._claimed_ordinal:
                 self._server.release_ordinal(self.ordinal)
                 self._claimed_ordinal = False

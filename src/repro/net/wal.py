@@ -272,7 +272,7 @@ class SessionWal:
                     seq=record.commit_seq, ordinal=record.ordinal,
                     client=record.client or None,
                     merger=self.replay_merger(record))
-            recovery.committed.append(entry)
+            recovery.committed.append(entry.compact())
             recovery.max_seq = max(recovery.max_seq, record.commit_seq)
         return recovery
 
