@@ -157,11 +157,16 @@ def check_stream_prefix(prefix: bytes) -> None:
             f"version {FRAMING_VERSION}")
 
 
+def check_frame_length(length: int) -> None:
+    """Refuse a frame body longer than the plausibility bound."""
+    if length > MAX_FRAME_BYTES:
+        raise FramingError(
+            f"frame of {length} bytes exceeds MAX_FRAME_BYTES={MAX_FRAME_BYTES}")
+
+
 def encode_frame(body: bytes) -> bytes:
     """Length-prefix one frame body (validates the plausibility bound)."""
-    if len(body) > MAX_FRAME_BYTES:
-        raise FramingError(
-            f"frame of {len(body)} bytes exceeds MAX_FRAME_BYTES={MAX_FRAME_BYTES}")
+    check_frame_length(len(body))
     return _LENGTH.pack(len(body)) + body
 
 
@@ -1032,17 +1037,10 @@ def summary_payload(merger: StreamingMerger) -> Dict[str, object]:
     """
     if merger.frames == 0:
         raise ParameterError("merger folded no frames; nothing to summarize")
-    if merger.columnar:
-        # int64 keys are plain ints by construction: skip the dict and the
-        # per-key encoding check, same envelope.
-        keys, values = merger.merged_arrays()
-        envelope = wire_module.encode_counters(
-            {}, k=merger._k, stream_length=merger.total_stream_length)
-        envelope.update(keys=keys.tolist(), values=values.tolist())
-    else:
-        envelope = wire_module.encode_counters(
-            merger.merged(), k=merger._k,
-            stream_length=merger.total_stream_length)
+    # A columnar merger hands over its arrays: no per-key Python dict.
+    counters = merger.merged_arrays() if merger.columnar else merger.merged()
+    envelope = wire_module.encode_counters(
+        counters, k=merger._k, stream_length=merger.total_stream_length)
     envelope["meta"][RELAY_META_KEY] = {"frames": merger.frames}
     return envelope
 

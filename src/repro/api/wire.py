@@ -35,7 +35,7 @@ Envelope kinds
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, List, Mapping, Optional, Sequence, Union
+from typing import Dict, Hashable, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -84,8 +84,16 @@ def _is_plain_int(key: Hashable) -> bool:
             and _INT64_MIN <= key <= _INT64_MAX)
 
 
-def _encode_columns(counters: Mapping[Hashable, float]) -> Dict[str, object]:
-    """Columnar ``key_encoding``/``keys``/``values`` fields for a counter dict."""
+def _encode_columns(counters: Union[Mapping[Hashable, float],
+                                    Tuple[np.ndarray, np.ndarray]]) -> Dict[str, object]:
+    """Columnar ``key_encoding``/``keys``/``values`` fields for a counter
+    dict, or for an int64 keys / float64 values array pair (whose keys are
+    plain ints by construction: no per-key check)."""
+    if isinstance(counters, tuple):
+        keys, values = counters
+        return {"key_encoding": "int",
+                "keys": np.asarray(keys, dtype=np.int64).tolist(),
+                "values": np.asarray(values, dtype=np.float64).tolist()}
     keys = list(counters.keys())
     values = [float(value) for value in counters.values()]
     if all(_is_plain_int(key) for key in keys):
@@ -177,11 +185,13 @@ class WirePayload:
         return self.key_array, self.values
 
 
-def encode_counters(counters: Union[FrequencySketch, Mapping[Hashable, float]],
+def encode_counters(counters: Union[FrequencySketch, Mapping[Hashable, float],
+                                    Tuple[np.ndarray, np.ndarray]],
                     k: Optional[int] = None,
                     stream_length: Optional[int] = None,
                     sketch: Optional[str] = None) -> Dict:
-    """Encode a counter mapping (or any sketch's ``counters()``) as a v2 envelope."""
+    """Encode a counter mapping (or any sketch's ``counters()``, or an int64
+    keys / float64 values array pair) as a v2 envelope."""
     if isinstance(counters, FrequencySketch):
         source = counters
         counters = source.counters()

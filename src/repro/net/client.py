@@ -270,9 +270,17 @@ class AggregatorClient:
         return await self._guard(self._push_bodies(encoded), "push")
 
     async def push_raw(self, frame_bodies: Iterable[bytes]) -> int:
-        """Push already-encoded payload frame bodies verbatim."""
-        encoded = [framing.encode_frame(body) for body in frame_bodies]
-        return await self._guard(self._push_bodies(encoded), "push")
+        """Push already-encoded payload frame bodies verbatim.
+
+        Each body is length-prefixed as it is sent: a framed copy of the
+        whole burst held at once would double its memory and, for bursts
+        of large frames, cost a page fault per fresh page.  Oversized
+        bodies are still refused before anything is sent.
+        """
+        bodies = list(frame_bodies)
+        for body in bodies:
+            framing.check_frame_length(len(body))
+        return await self._guard(self._push_bodies(bodies, framed=False), "push")
 
     async def push_encoded(self, frames: List[bytes]) -> int:
         """Push fully wire-encoded frames (``framing.encode_frame`` output).
@@ -296,20 +304,24 @@ class AggregatorClient:
         await channel.send_bytes(frame)
         await self._abort()
 
-    async def _push_bodies(self, encoded: List[bytes]) -> int:
+    async def _push_bodies(self, frames: List[bytes], framed: bool = True) -> int:
+        """Send one PUSH burst: ``frames`` are wire-encoded frames, or frame
+        bodies still to be length-prefixed when ``framed`` is false."""
         clock = self.metrics.clock
         push_start = clock()
         channel = self._require_channel()
-        await channel.send_control(PUSH, frames=len(encoded))
-        for frame in encoded:
-            await channel.send_bytes(frame)
-        ack = await self._expect_control(OK, re=PUSH, folded=len(encoded))
-        self.frames_pushed += len(encoded)
+        await channel.send_control(PUSH, frames=len(frames))
+        send = channel.send_bytes if framed else channel.send_raw_frame
+        for frame in frames:
+            await send(frame)
+        ack = await self._expect_control(OK, re=PUSH, folded=len(frames))
+        self.frames_pushed += len(frames)
         self.metrics.observe("client.push_seconds", clock() - push_start)
-        self.metrics.inc("client.frames_total", len(encoded))
+        self.metrics.inc("client.frames_total", len(frames))
+        prefixes = 0 if framed else framing._LENGTH.size * len(frames)
         self.metrics.inc("client.bytes_total",
-                         sum(len(frame) for frame in encoded))
-        return int(ack.get("folded", len(encoded)))
+                         prefixes + sum(len(frame) for frame in frames))
+        return int(ack.get("folded", len(frames)))
 
     async def push_file(self, source: Union[str, Path], burst: int = 64,
                         skip: Optional[int] = None,

@@ -66,7 +66,7 @@ stats     s -> c     the ``stats`` reply
 The session state machine lives in :mod:`repro.net.session`; this module
 provides address parsing and :class:`FrameChannel`, the asyncio send/receive
 half shared by server and client.  All reads are bounded (at most
-``chunk_size`` bytes per ``read()`` call, frame lengths capped by
+``chunk_size`` bytes per read, frame lengths capped by
 ``MAX_FRAME_BYTES``), so a malicious peer cannot make either side allocate
 unbounded memory, and slow consumers exert normal TCP backpressure.
 """
@@ -146,7 +146,7 @@ class FrameChannel:
 
     Sending never buffers more than one frame before ``drain()`` (payload
     frames are encoded once, written, and awaited), and receiving issues
-    only bounded ``read()`` calls — at most ``chunk_size`` bytes each — so
+    only bounded reads — at most ``chunk_size`` bytes each — so
     both sides stay within one frame plus ``O(chunk)`` of live memory per
     connection regardless of what the peer sends.
     """
@@ -197,11 +197,14 @@ class FrameChannel:
         chunks = []
         remaining = count
         while remaining:
-            chunk = await self._reader.read(min(remaining, self._chunk_size))
-            if not chunk:
+            try:
+                chunk = await self._reader.readexactly(
+                    min(remaining, self._chunk_size))
+            except asyncio.IncompleteReadError as error:
                 raise FramingError(
-                    f"truncated {what}: expected {count} bytes, "
-                    f"got {count - remaining} (peer closed mid-frame?)")
+                    f"truncated {what}: expected {count} bytes, got "
+                    f"{count - remaining + len(error.partial)} "
+                    "(peer closed mid-frame?)") from None
             chunks.append(chunk)
             remaining -= len(chunk)
         return chunks[0] if len(chunks) == 1 else b"".join(chunks)
@@ -215,16 +218,14 @@ class FrameChannel:
 
     async def _read_frame_bytes(self, what: str) -> Optional[bytes]:
         """The next frame body, or ``None`` at a clean end of stream."""
-        prefix = await self._reader.read(framing._LENGTH.size)
-        if not prefix:
-            return None
-        while len(prefix) < framing._LENGTH.size:
-            more = await self._reader.read(framing._LENGTH.size - len(prefix))
-            if not more:
-                raise FramingError(
-                    f"truncated length prefix before {what}: got {len(prefix)} "
-                    "bytes (peer closed mid-frame?)")
-            prefix += more
+        try:
+            prefix = await self._reader.readexactly(framing._LENGTH.size)
+        except asyncio.IncompleteReadError as error:
+            if not error.partial:
+                return None
+            raise FramingError(
+                f"truncated length prefix before {what}: got "
+                f"{len(error.partial)} bytes (peer closed mid-frame?)") from None
         (length,) = framing._LENGTH.unpack(prefix)
         if length > framing.MAX_FRAME_BYTES:
             raise FramingError(

@@ -89,6 +89,16 @@ class TestCountersEnvelope:
         assert payload["key_encoding"] == "token"
         assert wire.decode(_json_roundtrip(payload)).counters() == counters
 
+    def test_array_pair_encodes_like_its_dict(self):
+        keys = np.array([42, -7, 3], dtype=np.int64)
+        values = np.array([9.0, 4.5, 1.0], dtype=np.float64)
+        from_arrays = wire.encode_counters((keys, values), k=8, stream_length=5)
+        from_dict = wire.encode_counters(
+            dict(zip(keys.tolist(), values.tolist())), k=8, stream_length=5)
+        assert json.dumps(from_arrays) == json.dumps(from_dict)
+        assert from_arrays["key_encoding"] == "int"
+        assert all(type(key) is int for key in from_arrays["keys"])
+
 
 class TestColumnarFastPath:
     def test_decode_produces_int_array_feeding_merge(self):

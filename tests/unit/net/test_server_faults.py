@@ -13,7 +13,7 @@ import pytest
 from repro.api import framing
 from repro.api.framing import FrameHeader
 from repro.api.wire import encode_counters
-from repro.exceptions import NetworkError, RemoteError
+from repro.exceptions import FramingError, NetworkError, RemoteError
 from repro.net import AggregatorClient, AggregatorServer
 from repro.net.protocol import FrameChannel
 
@@ -331,6 +331,29 @@ class TestLifecycle:
         pushed, stats = _run(scenario())
         assert pushed == 3
         assert stats["frames"] == 3
+
+    def test_push_raw_refuses_oversized_body_before_sending(self, monkeypatch):
+        """Bodies get their length prefix as they are sent, yet an oversized
+        one is refused before the PUSH goes out: the session stays usable
+        and the byte counter still counts the prefixes."""
+        body = framing.payload_frame_body(_export({1: 5.0}))
+
+        async def scenario():
+            async with await _started_server() as server:
+                async with AggregatorClient(server.address, k=K, ordinal=0,
+                                            metrics=True) as client:
+                    with monkeypatch.context() as patch:
+                        patch.setattr(framing, "MAX_FRAME_BYTES", len(body))
+                        with pytest.raises(FramingError, match="MAX_FRAME_BYTES"):
+                            await client.push_raw([body, body + b" "])
+                    folded = await client.push_raw([body, body])
+                    sent = client.metrics.counter("client.bytes_total").value
+                return folded, sent, server.stats()
+        folded, sent, stats = _run(scenario())
+        assert folded == 2
+        assert sent == 2 * (len(body) + 4)
+        assert stats["frames"] == 2
+        assert stats["sessions_rejected"] == 0
 
     def test_stats_verb_reports_counters(self):
         async def scenario():
